@@ -23,7 +23,7 @@ object DeepWalkLite {
     val rng = new Random(seed)
     val emb = Array.fill(n, k)((rng.nextDouble() - 0.5) / k)
     val ctx = Array.ofDim[Double](n, k)
-    val negTable = buildNegTable(csr, 1 << 20, seed)
+    val negTable = buildNegTable(Array.tabulate(n)(csr.outDeg))
 
     val totalWalks = n.toLong * walksPerNode
     var done = 0L
@@ -69,11 +69,14 @@ object DeepWalkLite {
     out
   }
 
-  /** Unigram^0.75 negative-sampling table (word2vec convention). */
-  private def buildNegTable(csr: ForwardPush.Csr, size: Int, seed: Long): Array[Int] = {
-    val n = csr.n
-    val w = Array.tabulate(n)(i => math.pow(math.max(csr.outDeg(i), 1), 0.75))
+  /** Unigram^0.75 negative-sampling table (word2vec convention): node i
+    * fills a share ∝ max(deg(i), 1)^0.75 of 2²⁰ slots.
+    */
+  private[baselines] def buildNegTable(deg: Array[Int]): Array[Int] = {
+    val n = deg.length
+    val w = deg.map(d => math.pow(math.max(d, 1), 0.75))
     val total = w.sum
+    val size = 1 << 20
     val table = new Array[Int](size)
     var node = 0
     var cum = w(0) / total
@@ -129,21 +132,7 @@ object APPLite {
     // would net-penalize popular targets and invert the ranking.
     val inDeg = new Array[Int](n)
     csr.targets.foreach(t => inDeg(t) += 1)
-    val negTable = {
-      val w = Array.tabulate(n)(i => math.pow(math.max(inDeg(i), 1), 0.75))
-      val totalW = w.sum
-      val size = 1 << 20
-      val table = new Array[Int](size)
-      var node = 0
-      var cum = w(0) / totalW
-      var i = 0
-      while (i < size) {
-        table(i) = node
-        if (i.toDouble / size > cum && node < n - 1) { node += 1; cum += w(node) / totalW }
-        i += 1
-      }
-      table
-    }
+    val negTable = DeepWalkLite.buildNegTable(inDeg)
     val total = n.toLong * samplesPerNode
     var done = 0L
     for (s <- 1 to samplesPerNode; u <- 0 until n) {

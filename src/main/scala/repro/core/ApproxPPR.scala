@@ -26,18 +26,8 @@ object ApproxPPR {
 
   def apply(g: Graph, kPrime: Int, alpha: Double = 0.15, l1: Int = 20,
             eps: Double = 0.2, seed: Long = 20): Embeddings = {
-    val svd = BKSVD(g, kPrime, eps, seed)
-    val sqrtSigma = diag(svd.sigma.map(math.sqrt))
-    val x1 = svd.u.timesLocal(sqrtSigma).scaleRows(g.invOutDeg).checkpointed().cache()
-    val y = svd.v.timesLocal(sqrtSigma).checkpointed()
-    var x = x1
-    for (_ <- 2 to l1) {
-      // Xᵢ = (1−α)·P·Xᵢ₋₁ + X₁ — checkpoint each step to bound lineage.
-      x = x1.plus(g.pMultiply(x), 1 - alpha).checkpointed()
-    }
-    x = x.scaled(alpha * (1 - alpha)).checkpointed()
-    x1.unpersist()
-    Embeddings(x, y)
+    val (y, xs) = chain(g, kPrime, alpha, Seq(l1), eps, seed)(_.checkpointed())
+    Embeddings(xs(l1), y)
   }
 
   /** Run one BKSVD + iteration chain but snapshot the embeddings at every
@@ -45,21 +35,31 @@ object ApproxPPR {
     */
   def sweep(g: Graph, kPrime: Int, alpha: Double, l1Values: Seq[Int],
             eps: Double = 0.2, seed: Long = 20): Map[Int, LocalEmb] = {
+    val (y, xs) = chain(g, kPrime, alpha, l1Values, eps, seed)(_.collectLocal())
+    val yLocal = y.collectLocal()
+    xs.map { case (l1, x) => l1 -> LocalEmb(x, yLocal) }
+  }
+
+  /** BKSVD, X₁ and Y, then the ℓ₁ loop up to the largest requested ℓ₁,
+    * passing `α(1−α)·Xᵢ` to `snap` at each requested i. Returns Y (already
+    * checkpointed) and the snapshots by ℓ₁.
+    */
+  private def chain[T](g: Graph, kPrime: Int, alpha: Double, l1Values: Seq[Int],
+                       eps: Double, seed: Long)(snap: DistMatrix => T): (DistMatrix, Map[Int, T]) = {
+    require(l1Values.nonEmpty && l1Values.forall(_ >= 1), s"l1 values must be >= 1, got $l1Values")
     val svd = BKSVD(g, kPrime, eps, seed)
     val sqrtSigma = diag(svd.sigma.map(math.sqrt))
     val x1 = svd.u.timesLocal(sqrtSigma).scaleRows(g.invOutDeg).checkpointed().cache()
     val y = svd.v.timesLocal(sqrtSigma).checkpointed()
-    val yLocal = y.collectLocal()
     val want = l1Values.toSet
-    val out = scala.collection.mutable.Map.empty[Int, LocalEmb]
     var x = x1
-    for (i <- 1 to l1Values.max) {
+    val out = (1 to l1Values.max).flatMap { i =>
+      // Xᵢ = (1−α)·P·Xᵢ₋₁ + X₁ — checkpoint each step to bound lineage.
       if (i > 1) x = x1.plus(g.pMultiply(x), 1 - alpha).checkpointed()
-      if (want(i))
-        out(i) = LocalEmb(x.scaled(alpha * (1 - alpha)).collectLocal(), yLocal)
-    }
+      if (want(i)) Some(i -> snap(x.scaled(alpha * (1 - alpha)))) else None
+    }.toMap
     x1.unpersist()
-    out.toMap
+    (y, out)
   }
 
   private def diag(d: Array[Double]): Array[Array[Double]] =

@@ -8,9 +8,9 @@ import scala.util.Random
   * 1. k′ = k/2; run [[ApproxPPR]] (distributed) for initial X, Y with
   *    `XYᵀ ≈ Π′`.
   * 2. Initialize w⃗_v = d_out(v), w⃖_v = 1.
-  * 3. ℓ₂ coordinate-descent epochs, each one backward sweep
-  *    ([[NodeWeights.updateBwdWeights]]) followed by one forward sweep
-  *    ([[NodeWeights.updateFwdWeights]]).
+  * 3. ℓ₂ coordinate-descent epochs ([[NodeWeights.epoch]]), each one
+  *    backward then one forward pass of the direction-parameterised
+  *    weight sweep.
   * 4. Final embeddings X_v ← w⃗_v·X_v, Y_v ← w⃖_v·Y_v, so that
   *    `X_u·Y_v ≈ w⃗_u·π(u,v)·w⃖_v` (Eq. 4).
   *
@@ -30,36 +30,19 @@ object NRP {
                           weights: NodeWeights.Weights)
 
   def apply(g: Graph, params: Params = Params()): Result = {
-    val kPrime = math.max(1, params.k / 2)
-    val emb = ApproxPPR(g, kPrime, params.alpha, params.l1, params.eps, params.seed)
-    val x = emb.x.collectLocal()
-    val y = emb.y.collectLocal()
+    val emb = ApproxPPR(g, math.max(1, params.k / 2), params.alpha, params.l1, params.eps, params.seed)
+    val local = emb.local
     emb.x.unpersist(); emb.y.unpersist()
-    reweight(g, x, y, params)
+    reweight(g, local.x, local.y, params)
   }
 
   /** The reweighting stage alone, given ApproxPPR's output — lets the
     * parameter-sweep benches share one ApproxPPR run across ℓ₂ values.
+    * At ℓ₂ = 0 the embeddings are scaled by the initial weights.
     */
   def reweight(g: Graph, x0: Array[Array[Double]], y0: Array[Array[Double]],
-               params: Params): Result = {
-    val n = g.n.toInt
-    val x = x0.map(_.clone())
-    val y = y0.map(_.clone())
-    val w = NodeWeights.init(g.outDeg)
-    val rng = new Random(params.seed)
-    for (_ <- 1 to params.l2) {
-      NodeWeights.updateBwdWeights(x, y, g.outDeg, g.inDeg, w, params.lambda, rng)
-      NodeWeights.updateFwdWeights(x, y, g.outDeg, g.inDeg, w, params.lambda, rng)
-    }
-    var v = 0
-    while (v < n) {
-      var r = 0
-      while (r < x(v).length) { x(v)(r) *= w.wf(v); y(v)(r) *= w.wb(v); r += 1 }
-      v += 1
-    }
-    Result(x, y, w)
-  }
+               params: Params): Result =
+    descend(g, x0, y0, params, Seq(params.l2))(params.l2)
 
   /** Run the descent once but snapshot the rescaled embeddings at every
     * requested ℓ₂ — an ℓ₂-sweep (Fig. 8d / 11b) for the price of one run.
@@ -69,30 +52,34 @@ object NRP {
     */
   def reweightSweep(g: Graph, x0: Array[Array[Double]], y0: Array[Array[Double]],
                     params: Params, l2Values: Seq[Int]): Map[Int, Result] = {
-    val n = g.n.toInt
+    val out = descend(g, x0, y0, params, l2Values)
+    if (!out.contains(0)) out
+    else {
+      val unit = Array.fill(g.n.toInt)(1.0)
+      out.updated(0, Result(x0.map(_.clone()), y0.map(_.clone()), NodeWeights.Weights(unit, unit.clone())))
+    }
+  }
+
+  /** ℓ₂ epochs from the paper initialization, with the embeddings rescaled
+    * by the current weights after each epoch in `l2Values` (0 = before the
+    * first epoch).
+    */
+  private def descend(g: Graph, x0: Array[Array[Double]], y0: Array[Array[Double]],
+                      params: Params, l2Values: Seq[Int]): Map[Int, Result] = {
+    require(l2Values.nonEmpty && l2Values.forall(_ >= 0), s"l2 values must be >= 0, got $l2Values")
     val w = NodeWeights.init(g.outDeg)
     val rng = new Random(params.seed)
     val want = l2Values.toSet
-    val out = scala.collection.mutable.Map.empty[Int, Result]
-    def snapshot(epoch: Int): Unit = if (want(epoch)) {
-      if (epoch == 0) {
-        val unit = Array.fill(n)(1.0)
-        out(0) = Result(x0.map(_.clone()), y0.map(_.clone()), Weights(unit, unit.clone()))
-      } else {
-        val x = x0.zipWithIndex.map { case (row, v) => row.map(_ * w.wf(v)) }
-        val y = y0.zipWithIndex.map { case (row, v) => row.map(_ * w.wb(v)) }
-        out(epoch) = Result(x, y, Weights(w.wf.clone(), w.wb.clone()))
-      }
-    }
-    snapshot(0)
-    for (epoch <- 1 to l2Values.max) {
-      NodeWeights.updateBwdWeights(x0, y0, g.outDeg, g.inDeg, w, params.lambda, rng)
-      NodeWeights.updateFwdWeights(x0, y0, g.outDeg, g.inDeg, w, params.lambda, rng)
-      snapshot(epoch)
-    }
-    out.toMap
+    (0 to l2Values.max).flatMap { epoch =>
+      if (epoch > 0) NodeWeights.epoch(x0, y0, g.outDeg, g.inDeg, w, params.lambda, rng)
+      if (want(epoch)) Some(epoch -> rescaled(x0, y0, NodeWeights.Weights(w.wf.clone(), w.wb.clone())))
+      else None
+    }.toMap
   }
 
-  private type Weights = NodeWeights.Weights
-  private val Weights = NodeWeights.Weights
+  /** Final embeddings X_v·w⃗_v, Y_v·w⃖_v (step 4 above). */
+  private def rescaled(x0: Array[Array[Double]], y0: Array[Array[Double]],
+                       w: NodeWeights.Weights): Result =
+    Result(Array.tabulate(x0.length)(v => x0(v).map(_ * w.wf(v))),
+           Array.tabulate(y0.length)(v => y0(v).map(_ * w.wb(v))), w)
 }

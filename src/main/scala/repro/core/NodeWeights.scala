@@ -3,12 +3,17 @@ package repro.core
 import repro.linalg.Dense
 import scala.util.Random
 
-/** Algorithms 2 and 4 — coordinate-descent learning of the forward and
-  * backward node weights of NRP, with every acceleration from Section 4.3
+/** Algorithms 2 and 4 — coordinate-descent learning of the backward and
+  * forward node weights of NRP, with every acceleration from Section 4.3
   * / Appendix B: the shared aggregates ξ, χ, Λ, φ computed once per
   * epoch, ρ₁/ρ₂ maintained incrementally after every single weight update
   * (Eqs. 11/26), and the AM-GM approximation of b₁ (Eqs. 14/29). One
   * epoch over all nodes costs O(n·k′²).
+  *
+  * Algorithm 4 is Algorithm 2 with the roles swapped (X↔Y, d_out↔d_in,
+  * w⃗↔w⃖; Appendix B derives Eqs. 23–29 from Eqs. 7–14 this way), so both
+  * directions run one [[sweep]], written in the backward orientation;
+  * [[updateFwdWeights]] passes it the mirrored arguments.
   *
   * Runs driver-local over the collected X/Y: the paper's descent is
   * inherently sequential (ρ's change after *each* weight) and its
@@ -31,10 +36,34 @@ object NodeWeights {
     Weights(dout.map(d => math.max(d, 1.0 / n)), Array.fill(n)(1.0))
   }
 
+  /** One ℓ₂ epoch of Algorithm 3: a backward sweep, then a forward sweep. */
+  def epoch(x: Array[Array[Double]], y: Array[Array[Double]],
+            dout: Array[Double], din: Array[Double],
+            w: Weights, lambda: Double, rng: Random): Unit = {
+    updateBwdWeights(x, y, dout, din, w, lambda, rng)
+    updateFwdWeights(x, y, dout, din, w, lambda, rng)
+  }
+
   /** Algorithm 2 — one epoch of backward-weight updates, in place. */
   def updateBwdWeights(x: Array[Array[Double]], y: Array[Array[Double]],
                        dout: Array[Double], din: Array[Double],
-                       w: Weights, lambda: Double, rng: Random): Unit = {
+                       w: Weights, lambda: Double, rng: Random): Unit =
+    sweep(x, y, dout, din, w.wf, w.wb, lambda, rng)
+
+  /** Algorithm 4 — one epoch of forward-weight updates, in place. */
+  def updateFwdWeights(x: Array[Array[Double]], y: Array[Array[Double]],
+                       dout: Array[Double], din: Array[Double],
+                       w: Weights, lambda: Double, rng: Random): Unit =
+    sweep(y, x, din, dout, w.wb, w.wf, lambda, rng)
+
+  /** One coordinate-descent pass over `wy`, the weights of the Y side,
+    * against the X side's rows, weights `wx` and degrees, in the backward
+    * orientation (Eqs. 7–14); the forward pass is the same call mirrored.
+    */
+  private def sweep(x: Array[Array[Double]], y: Array[Array[Double]],
+                    dout: Array[Double], din: Array[Double],
+                    wx: Array[Double], wy: Array[Double],
+                    lambda: Double, rng: Random): Unit = {
     val n = x.length
     val k = x(0).length
     // Shared aggregates (Eqs. 9, 10, 13) — O(n·k′²) once per epoch.
@@ -46,27 +75,27 @@ object NodeWeights {
     val phi = new Array[Double](k)
     var u = 0
     while (u < n) {
-      val wfU = w.wf(u); val xu = x(u)
+      val wxU = wx(u); val xu = x(u)
       var r = 0
       while (r < k) {
-        xi(r) += dout(u) * wfU * xu(r)
-        chi(r) += wfU * xu(r)
-        phi(r) += wfU * wfU * xu(r) * xu(r)
+        xi(r) += dout(u) * wxU * xu(r)
+        chi(r) += wxU * xu(r)
+        phi(r) += wxU * wxU * xu(r) * xu(r)
         r += 1
       }
       var p = 0
       while (p < k) {
-        val c = wfU * wfU * xu(p)
+        val c = wxU * wxU * xu(p)
         var q = 0
         while (q < k) { lam(p)(q) += c * xu(q); q += 1 }
         p += 1
       }
-      val wbU = w.wb(u); val yu = y(u)
+      val wyU = wy(u); val yu = y(u)
       val xyU = Dense.dot(xu, yu)
       r = 0
       while (r < k) {
-        rho1(r) += wbU * yu(r)
-        rho2(r) += wfU * wfU * wbU * xyU * xu(r)
+        rho1(r) += wyU * yu(r)
+        rho2(r) += wxU * wxU * wyU * xyU * xu(r)
         r += 1
       }
       u += 1
@@ -75,104 +104,32 @@ object NodeWeights {
     val order = rng.shuffle((0 until n).toVector)
     order.foreach { vStar =>
       val xv = x(vStar); val yv = y(vStar)
-      val wfV = w.wf(vStar)
+      val wxV = wx(vStar)
       val xyV = Dense.dot(xv, yv)
       val a1 = Dense.dot(xi, yv)
-      val chiMinus = Dense.axpy(chi, -wfV, xv)
+      val chiMinus = Dense.axpy(chi, -wxV, xv)
       val s = Dense.dot(chiMinus, yv)
       val a2 = din(vStar) * s
       val b2 = s * s
       val lamYv = matVec(lam, yv)
-      val a3 = Dense.dot(rho1, lamYv) - w.wb(vStar) * Dense.dot(yv, lamYv) -
-        Dense.dot(rho2, yv) + w.wb(vStar) * xyV * xyV * wfV * wfV
+      val a3 = Dense.dot(rho1, lamYv) - wy(vStar) * Dense.dot(yv, lamYv) -
+        Dense.dot(rho2, yv) + wy(vStar) * xyV * xyV * wxV * wxV
       var b1 = 0.0
       var r = 0
-      while (r < k) { b1 += yv(r) * yv(r) * (phi(r) - wfV * wfV * xv(r) * xv(r)); r += 1 }
+      while (r < k) { b1 += yv(r) * yv(r) * (phi(r) - wxV * wxV * xv(r) * xv(r)); r += 1 }
       b1 *= k / 2.0
-      val wOld = w.wb(vStar)
+      val wOld = wy(vStar)
       // guard the λ=0, zero-row corner: a vanishing denominator must fall
       // back to the 1/n floor, not propagate NaN/∞ into the embeddings
       val cand = (a1 + a2 - a3) / (b1 + b2 + lambda)
       val wNew = if (java.lang.Double.isFinite(cand)) math.max(1.0 / n, cand) else 1.0 / n
-      w.wb(vStar) = wNew
+      wy(vStar) = wNew
       // Incremental ρ maintenance (Eq. 11).
       val delta = wNew - wOld
       r = 0
       while (r < k) {
         rho1(r) += delta * yv(r)
-        rho2(r) += delta * wfV * wfV * xyV * xv(r)
-        r += 1
-      }
-    }
-  }
-
-  /** Algorithm 4 — one epoch of forward-weight updates, in place. */
-  def updateFwdWeights(x: Array[Array[Double]], y: Array[Array[Double]],
-                       dout: Array[Double], din: Array[Double],
-                       w: Weights, lambda: Double, rng: Random): Unit = {
-    val n = x.length
-    val k = x(0).length
-    // Shared aggregates (Eqs. 24, 25, 28).
-    val xi = new Array[Double](k)
-    val chi = new Array[Double](k)
-    val lam = Array.ofDim[Double](k, k)
-    val rho1 = new Array[Double](k)
-    val rho2 = new Array[Double](k)
-    val phi = new Array[Double](k)
-    var v = 0
-    while (v < n) {
-      val wbV = w.wb(v); val yv = y(v)
-      var r = 0
-      while (r < k) {
-        xi(r) += din(v) * wbV * yv(r)
-        chi(r) += wbV * yv(r)
-        phi(r) += wbV * wbV * yv(r) * yv(r)
-        r += 1
-      }
-      var p = 0
-      while (p < k) {
-        val c = wbV * wbV * yv(p)
-        var q = 0
-        while (q < k) { lam(p)(q) += c * yv(q); q += 1 }
-        p += 1
-      }
-      val wfV = w.wf(v); val xv = x(v)
-      val xyV = Dense.dot(xv, yv)
-      r = 0
-      while (r < k) {
-        rho1(r) += wfV * xv(r)
-        rho2(r) += wfV * wbV * wbV * xyV * yv(r)
-        r += 1
-      }
-      v += 1
-    }
-    val order = rng.shuffle((0 until n).toVector)
-    order.foreach { uStar =>
-      val xu = x(uStar); val yu = y(uStar)
-      val wbU = w.wb(uStar)
-      val xyU = Dense.dot(xu, yu)
-      val a1 = Dense.dot(xu, xi)
-      val chiMinus = Dense.axpy(chi, -wbU, yu)
-      val s = Dense.dot(xu, chiMinus)
-      val a2 = dout(uStar) * s
-      val b2 = s * s
-      val lamXu = matVec(lam, xu)
-      val a3 = Dense.dot(rho1, lamXu) - w.wf(uStar) * Dense.dot(xu, lamXu) -
-        Dense.dot(rho2, xu) + wbU * wbU * xyU * xyU * w.wf(uStar)
-      var b1 = 0.0
-      var r = 0
-      while (r < k) { b1 += xu(r) * xu(r) * (phi(r) - wbU * wbU * yu(r) * yu(r)); r += 1 }
-      b1 *= k / 2.0
-      val wOld = w.wf(uStar)
-      val cand = (a1 + a2 - a3) / (b1 + b2 + lambda)
-      val wNew = if (java.lang.Double.isFinite(cand)) math.max(1.0 / n, cand) else 1.0 / n
-      w.wf(uStar) = wNew
-      // Incremental ρ maintenance (Eq. 26).
-      val delta = wNew - wOld
-      r = 0
-      while (r < k) {
-        rho1(r) += delta * xu(r)
-        rho2(r) += delta * wbU * wbU * xyU * yu(r)
+        rho2(r) += delta * wxV * wxV * xyV * xv(r)
         r += 1
       }
     }

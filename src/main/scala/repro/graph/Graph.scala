@@ -63,12 +63,6 @@ final class Graph(val spark: SparkSession, val edges: DataFrame, val n: Long, va
     aMultiply(x).scaleRows(inv)
   }
 
-  /** `Pᵀ·X` (used by reverse-graph computations). */
-  def pTMultiply(x: DistMatrix): DistMatrix = {
-    val inv = invOutDeg
-    aTMultiply(x.scaleRows(inv))
-  }
-
   private def multiply(x: DistMatrix, fromCol: String, toCol: String): DistMatrix = {
     val k = x.k
     import spark.implicits._

@@ -145,8 +145,7 @@ class NodeWeightsSpec extends AnyFunSuite {
   test("one epoch of updates never violates the 1/n floor") {
     val (x, y, dout, din, w) = randomInstance(13)
     val rng = new Random(0)
-    NodeWeights.updateBwdWeights(x, y, dout, din, w, lambda = 10, rng)
-    NodeWeights.updateFwdWeights(x, y, dout, din, w, lambda = 10, rng)
+    NodeWeights.epoch(x, y, dout, din, w, lambda = 10, rng)
     assert(w.wb.forall(_ >= 1.0 / n - 1e-12))
     assert(w.wf.forall(_ >= 1.0 / n - 1e-12))
   }
@@ -159,35 +158,41 @@ class NodeWeightsSpec extends AnyFunSuite {
     val w = NodeWeights.init(dout)
     val before = NodeWeights.objective(x, y, dout, din, w, lambda = 1.0)
     val rng = new Random(0)
-    for (_ <- 1 to 5) {
-      NodeWeights.updateBwdWeights(x, y, dout, din, w, lambda = 1.0, rng)
-      NodeWeights.updateFwdWeights(x, y, dout, din, w, lambda = 1.0, rng)
-    }
+    for (_ <- 1 to 5) NodeWeights.epoch(x, y, dout, din, w, lambda = 1.0, rng)
     val after = NodeWeights.objective(x, y, dout, din, w, lambda = 1.0)
     assert(after < before, s"objective did not decrease: $before -> $after")
   }
 
   test("incremental rho maintenance matches recomputation after an epoch") {
-    // Run one epoch with the production code, then recompute rho1/rho2 from
-    // scratch with the final weights and compare the *final weight vector*
-    // against an epoch run that recomputes aggregates before each node.
+    // Run one epoch of each direction with the production code, then
+    // compare the *final weight vector* against an epoch run that
+    // recomputes every term before each node. The forward case is the one
+    // that catches a wrong argument swap in updateFwdWeights.
     val (x, y, dout, din, w0) = randomInstance(19)
-    val wIncr = NodeWeights.Weights(w0.wf.clone(), w0.wb.clone())
-    NodeWeights.updateBwdWeights(x, y, dout, din, wIncr, lambda = 5, new Random(42))
+    for (forward <- Seq(false, true)) {
+      val wIncr = NodeWeights.Weights(w0.wf.clone(), w0.wb.clone())
+      if (forward) NodeWeights.updateFwdWeights(x, y, dout, din, wIncr, lambda = 5, new Random(42))
+      else NodeWeights.updateBwdWeights(x, y, dout, din, wIncr, lambda = 5, new Random(42))
 
-    // Reference: identical update order, naive per-node recomputation with
-    // the *approximated* b1 (to isolate the rho bookkeeping).
-    val wRef = NodeWeights.Weights(w0.wf.clone(), w0.wb.clone())
-    val order = new Random(42).shuffle((0 until n).toVector)
-    order.foreach { vStar =>
-      val (a1, a2, a3, _, b2) = NodeWeights.naiveBwdTerms(x, y, dout, din, wRef, vStar)
-      val mid = NodeWeights.b1Middle(x, y, wRef, vStar)
-      val b1 = k / 2.0 * mid
-      wRef.wb(vStar) = math.max(1.0 / n, (a1 + a2 - a3) / (b1 + b2 + 5))
+      // Reference: identical update order, naive per-node recomputation with
+      // the *approximated* b1 (to isolate the rho bookkeeping).
+      val wRef = NodeWeights.Weights(w0.wf.clone(), w0.wb.clone())
+      val order = new Random(42).shuffle((0 until n).toVector)
+      order.foreach { i =>
+        val (a1, a2, a3, _, b2) =
+          if (forward) NodeWeights.naiveFwdTerms(x, y, dout, din, wRef, i)
+          else NodeWeights.naiveBwdTerms(x, y, dout, din, wRef, i)
+        val mid =
+          if (forward) NodeWeights.b1Middle(y, x, NodeWeights.Weights(wRef.wb, wRef.wf), i)
+          else NodeWeights.b1Middle(x, y, wRef, i)
+        val b1 = k / 2.0 * mid
+        (if (forward) wRef.wf else wRef.wb)(i) = math.max(1.0 / n, (a1 + a2 - a3) / (b1 + b2 + 5))
+      }
+      val (incr, ref) = if (forward) (wIncr.wf, wRef.wf) else (wIncr.wb, wRef.wb)
+      for (v <- 0 until n)
+        assert(math.abs(incr(v) - ref(v)) < 1e-8,
+          s"${if (forward) "wf" else "wb"}($v): incr=${incr(v)} ref=${ref(v)}")
     }
-    for (v <- 0 until n)
-      assert(math.abs(wIncr.wb(v) - wRef.wb(v)) < 1e-8,
-        s"wb($v): incr=${wIncr.wb(v)} ref=${wRef.wb(v)}")
   }
 
   test("init clamps dangling nodes to the 1/n floor") {
