@@ -22,8 +22,7 @@ object AROPE {
 
   def apply(g: Graph, k: Int, weights: Array[Double] = defaultWeights,
             eps: Double = 0.2, seed: Long = 20): Emb = {
-    val sym = symmetrized(g)
-    val svd = BKSVD(sym, k, eps, seed)
+    val svd = BKSVD(g.undirected, k, eps, seed)
     val u = svd.u.collectLocal()
     val v = svd.v.collectLocal()
     val n = g.n.toInt
@@ -31,20 +30,7 @@ object AROPE {
     // the projected operator B = Uᵀ(A U) = diag(σ)·(VᵀU); eigendecompose
     // the symmetrized B and rotate U by its eigenvectors. This is robust
     // to degenerate σ (where individual u_j are not eigenvectors).
-    val vtu = Array.ofDim[Double](k, k)
-    var i = 0
-    while (i < n) {
-      var p = 0
-      while (p < k) {
-        val vip = v(i)(p)
-        if (vip != 0.0) {
-          var q = 0
-          while (q < k) { vtu(p)(q) += vip * u(i)(q); q += 1 }
-        }
-        p += 1
-      }
-      i += 1
-    }
+    val vtu = Dense.matmul(Dense.transpose(v), u)
     val b = Array.tabulate(k, k)((p, q) =>
       (svd.sigma(p) * vtu(p)(q) + svd.sigma(q) * vtu(q)(p)) / 2.0)
     val eig = Dense.eigSym(b)
@@ -56,12 +42,6 @@ object AROPE {
     val y = Array.tabulate(n, r)((row, j) => x(row)(j) * (if (f(j) >= 0) 1.0 else -1.0))
     Emb(x, y)
   }
-
-  /** Undirected view of a graph (adds reversed edges; idempotent for
-    * already-undirected graphs).
-    */
-  def symmetrized(g: Graph): Graph =
-    if (g.directed) Graph.fromEdges(g.spark, g.edges, g.n, directed = false) else g
 }
 
 /** RandNE (Zhang et al., ICDM'18) — billion-scale embedding by iterative
@@ -81,7 +61,7 @@ object RandNE {
 
   def apply(g: Graph, k: Int, weights: Array[Double] = defaultWeights,
             seed: Long = 20): Emb = {
-    val sym = AROPE.symmetrized(g)
+    val sym = g.undirected
     var u = BKSVD.whiten(DistMatrix.gaussian(g.spark, g.n, k, seed))
     // whitening may drop columns on degenerate inputs; re-pad deterministically
     if (u.k < k) u = u.concat(DistMatrix.gaussian(g.spark, g.n, k - u.k, seed + 1))

@@ -1,7 +1,7 @@
 package repro.baselines
 
 import repro.graph.Graph
-import repro.ppr.ForwardPush
+import repro.linalg.LocalMat.SparseMat
 import scala.util.Random
 
 /** DeepWalk (Perozzi et al., KDD'14), reduced to its modern formulation:
@@ -17,13 +17,12 @@ object DeepWalkLite {
   def apply(g: Graph, k: Int, walksPerNode: Int = 10, walkLen: Int = 40,
             window: Int = 5, negative: Int = 5, lr0: Double = 0.025,
             seed: Long = 55): Emb = {
-    val sym = AROPE.symmetrized(g)
-    val csr = ForwardPush.csr(sym)
-    val n = csr.n
+    val csr = g.undirected.csr
+    val n = csr.rows
     val rng = new Random(seed)
     val emb = Array.fill(n, k)((rng.nextDouble() - 0.5) / k)
     val ctx = Array.ofDim[Double](n, k)
-    val negTable = buildNegTable(Array.tabulate(n)(csr.outDeg))
+    val negTable = buildNegTable(Array.tabulate(n)(csr.rowNnz))
 
     val totalWalks = n.toLong * walksPerNode
     var done = 0L
@@ -55,15 +54,15 @@ object DeepWalkLite {
     Emb.symmetricOf(emb)
   }
 
-  private def randomWalk(csr: ForwardPush.Csr, start: Int, len: Int, rng: Random): Array[Int] = {
+  private def randomWalk(csr: SparseMat, start: Int, len: Int, rng: Random): Array[Int] = {
     val out = new Array[Int](len)
     var cur = start
     var i = 0
     while (i < len) {
       out(i) = cur
-      val d = csr.outDeg(cur)
+      val d = csr.rowNnz(cur)
       if (d == 0) return out.take(i + 1)
-      cur = csr.targets(csr.offsets(cur) + rng.nextInt(d))
+      cur = csr.colIdx(csr.offsets(cur) + rng.nextInt(d))
       i += 1
     }
     out
@@ -121,8 +120,8 @@ object APPLite {
 
   def apply(g: Graph, k: Int, alpha: Double = 0.15, samplesPerNode: Int = 200,
             negative: Int = 5, lr0: Double = 0.05, seed: Long = 66): Emb = {
-    val csr = ForwardPush.csr(g)
-    val n = csr.n
+    val csr = g.csr
+    val n = csr.rows
     val kPrime = math.max(1, k / 2)
     val rng = new Random(seed)
     val x = Array.fill(n, kPrime)((rng.nextDouble() - 0.5) / kPrime)
@@ -131,7 +130,7 @@ object APPLite {
     // in-degree, since targets are walk *endpoints*. Uniform negatives
     // would net-penalize popular targets and invert the ranking.
     val inDeg = new Array[Int](n)
-    csr.targets.foreach(t => inDeg(t) += 1)
+    csr.colIdx.foreach(t => inDeg(t) += 1)
     val negTable = DeepWalkLite.buildNegTable(inDeg)
     val total = n.toLong * samplesPerNode
     var done = 0L
@@ -153,12 +152,12 @@ object APPLite {
   }
 
   /** One α-terminated random walk from `u`; returns the endpoint. */
-  private def pprWalk(csr: ForwardPush.Csr, u: Int, alpha: Double, rng: Random): Int = {
+  private def pprWalk(csr: SparseMat, u: Int, alpha: Double, rng: Random): Int = {
     var cur = u
     while (rng.nextDouble() >= alpha) {
-      val d = csr.outDeg(cur)
+      val d = csr.rowNnz(cur)
       if (d == 0) return cur
-      cur = csr.targets(csr.offsets(cur) + rng.nextInt(d))
+      cur = csr.colIdx(csr.offsets(cur) + rng.nextInt(d))
     }
     cur
   }

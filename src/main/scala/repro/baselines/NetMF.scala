@@ -1,11 +1,14 @@
 package repro.baselines
 
 import repro.graph.Graph
+import repro.linalg.LocalMat
 import repro.ppr.ExactPPR
+import repro.svd.BKSVD
 
 /** NetMF (Qiu et al., WSDM'18) — DeepWalk as explicit matrix
   * factorization: `M = vol(G)/(b·T) · (Σ_{r=1…T} P^r) · D⁻¹`, truncated
-  * log `M′ = log(max(M, 1))`, then SVD → `E = U√Σ`.
+  * log `M′ = log(max(M, 1))`, then [[BKSVD]] (at the paper's ε = 0.2)
+  * → `E = U√Σ`.
   *
   * Requires a dense n×n matrix — the scalability wall the paper reports
   * (NetMF/NetSMF are excluded on large graphs); we likewise run it on the
@@ -18,8 +21,8 @@ object NetMF {
             seed: Long = 33): Emb = {
     val mPrime = matrix(g, windowT, negB)
     val n = mPrime.length
-    val (u, sigma, _) = LocalMat.randomizedSVD(LocalMat.DenseMat(mPrime), k, q = 4, seed = seed)
-    val x = Array.tabulate(n, k)((i, j) => u(i)(j) * math.sqrt(sigma(j)))
+    val svd = BKSVD(LocalMat.DenseMat(mPrime), k, 0.2, seed)
+    val x = Array.tabulate(n, k)((i, j) => svd.u(i)(j) * math.sqrt(svd.sigma(j)))
     Emb.symmetricOf(x)
   }
 
@@ -27,7 +30,7 @@ object NetMF {
     * — exposed for direct verification against the closed form.
     */
   def matrix(g: Graph, windowT: Int, negB: Double): Array[Array[Double]] = {
-    val sym = AROPE.symmetrized(g)
+    val sym = g.undirected
     val n = sym.n.toInt
     val adj = ExactPPR.adjacency(sym)
     val p = ExactPPR.transition(adj)

@@ -1,13 +1,15 @@
 package repro.baselines
 
 import repro.graph.Graph
+import repro.linalg.LocalMat
 import repro.ppr.ForwardPush
+import repro.svd.BKSVD
 
 /** STRAP (Yin & Wei, KDD'19) — scalable graph embedding via sparse
   * transpose proximities. Compute δ-approximate PPR by forward push on G
   * and on its transpose, form the sparse transpose-proximity matrix
   * `M = Π̂ + Π̂ᵀ_rev` keeping entries > δ/2, and factorize it with
-  * randomized SVD into `X = U√Σ`, `Y = V√Σ`.
+  * [[BKSVD]] (at the paper's ε = 0.2) into `X = U√Σ`, `Y = V√Σ`.
   *
   * The O(n/δ) matrix is materialized driver-locally — the very space cost
   * that (per the paper, §2) stops STRAP from scaling; we run it only on
@@ -27,9 +29,9 @@ object STRAP {
         bwd(s).iterator.collect { case (t, p) if p > keep => (t.toInt, s, p) }
     }
     val m = LocalMat.csrFromTriples(n, n, triples)
-    val (u, sigma, v) = LocalMat.randomizedSVD(m, kPrime, q = 5, seed = seed)
-    val x = Array.tabulate(n, kPrime)((i, j) => u(i)(j) * math.sqrt(sigma(j)))
-    val y = Array.tabulate(n, kPrime)((i, j) => v(i)(j) * math.sqrt(sigma(j)))
+    val svd = BKSVD(m, kPrime, 0.2, seed)
+    val x = Array.tabulate(n, kPrime)((i, j) => svd.u(i)(j) * math.sqrt(svd.sigma(j)))
+    val y = Array.tabulate(n, kPrime)((i, j) => svd.v(i)(j) * math.sqrt(svd.sigma(j)))
     Emb(x, y)
   }
 }

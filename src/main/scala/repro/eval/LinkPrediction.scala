@@ -34,12 +34,13 @@ object LinkPrediction {
     val train = Graph.fromEdges(spark, kept, g.n, g.directed)
     val pos = removed.cache()
     val nPos = pos.count()
-    val neg = sampleNonEdges(spark, g, nPos, seed).cache()
+    val neg = sampleNonEdges(spark, g, nPos, seed)
     Split(train, pos, neg)
   }
 
   /** Uniform non-edge sample of the requested size: over-generate random
-    * pairs, drop self-pairs, anti-join the full edge set, dedup, limit.
+    * pairs, drop self-pairs, anti-join the full edge set, dedup, limit
+    * (cached).
     */
   def sampleNonEdges(spark: SparkSession, g: Graph, count: Long, seed: Int): DataFrame = {
     val n = g.n

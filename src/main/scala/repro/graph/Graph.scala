@@ -2,7 +2,7 @@ package repro.graph
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
-import repro.linalg.DistMatrix
+import repro.linalg.{DistMatrix, LocalMat, Operator}
 
 /** A directed graph as a deduplicated, self-loop-free edge-list DataFrame
   * with columns `src: Long`, `dst: Long` over node ids `0 … n−1`.
@@ -15,11 +15,35 @@ import repro.linalg.DistMatrix
   * Degree vectors are collected once to driver arrays: they are O(n)
   * longs, needed by every phase of NRP (D⁻¹ scaling, weight targets), and
   * n stays ≪ m for all graphs we run.
+  * As an [[Operator]] it is its adjacency over [[DistMatrix]] blocks.
   */
-final class Graph(val spark: SparkSession, val edges: DataFrame, val n: Long, val directed: Boolean) {
+final class Graph(val spark: SparkSession, val edges: DataFrame, val n: Long, val directed: Boolean)
+    extends Operator[DistMatrix] {
 
   /** Number of (directed) edges. */
   lazy val m: Long = edges.count()
+
+  /** Driver-local CSR adjacency (unit values), the one collect of the
+    * edges behind every driver-local consumer: forward push, random walks,
+    * the dense PPR oracle and edge membership. Rows are a stable counting
+    * sort of the collected edges by `src`, so each row keeps collect order.
+    */
+  lazy val csr: LocalMat.SparseMat = {
+    val nn = n.toInt
+    val es = edges.collect().map(r => (r.getLong(0).toInt, r.getLong(1).toInt))
+    val offsets = new Array[Int](nn + 1)
+    es.foreach { case (u, _) => offsets(u + 1) += 1 }
+    var i = 0
+    while (i < nn) { offsets(i + 1) += offsets(i); i += 1 }
+    val pos = offsets.clone()
+    val colIdx = new Array[Int](es.length)
+    es.foreach { case (u, v) => colIdx(pos(u)) = v; pos(u) += 1 }
+    LocalMat.SparseMat(nn, nn, offsets, colIdx, Array.fill(es.length)(1.0))
+  }
+
+  /** Undirected view (reversed edges added; `this` if undirected), shared by the undirected-only baselines. */
+  lazy val undirected: Graph =
+    if (directed) Graph.fromEdges(spark, edges, n, directed = false) else this
 
   /** Out-degree per node id, dense over 0…n−1 (missing nodes → 0). */
   lazy val outDeg: Array[Double] = degreeArray("src")
@@ -62,6 +86,15 @@ final class Graph(val spark: SparkSession, val edges: DataFrame, val n: Long, va
     val inv = invOutDeg
     aMultiply(x).scaleRows(inv)
   }
+
+  def rows: Int = n.toInt
+  def mult(b: DistMatrix): DistMatrix = aMultiply(b)
+  def multT(b: DistMatrix): DistMatrix = aTMultiply(b)
+  def gaussian(k: Int, seed: Long): DistMatrix = DistMatrix.gaussian(spark, n, k, seed)
+  def gram(b: DistMatrix): Array[Array[Double]] = b.gram()
+  def timesLocal(b: DistMatrix, w: Array[Array[Double]]): DistMatrix = b.timesLocal(w)
+  def concat(a: DistMatrix, b: DistMatrix): DistMatrix = a.concat(b)
+  def pin(b: DistMatrix): DistMatrix = b.checkpointed()
 
   private def multiply(x: DistMatrix, fromCol: String, toCol: String): DistMatrix = {
     val k = x.k

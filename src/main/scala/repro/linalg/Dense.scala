@@ -83,6 +83,14 @@ object Dense {
     out
   }
 
+  /** Row i of a seeded N(0,1) block, a pure function of (seed, i): the
+    * same on Spark (any partitioning) and on the driver.
+    */
+  def gaussianRow(seed: Long, i: Long, k: Int): Array[Double] = {
+    val rng = new scala.util.Random(seed * 1000003L + i * 7919L)
+    Array.fill(k)(rng.nextGaussian())
+  }
+
   /** `c · x`, returned as a new vector. */
   def scale(x: Array[Double], c: Double): Array[Double] = {
     val out = new Array[Double](x.length)

@@ -6,7 +6,7 @@ import org.apache.spark.sql.functions._
 
 /** A distributed tall-skinny dense matrix: n rows × k columns, held as a
   * DataFrame with columns `id: Long` (row index, dense over 0…n−1) and
-  * `vec: Array[Double]` (the row).
+  * `vec: Seq[Double]` (the row).
   *
   * This is the dataflow substrate of the reproduction: adjacency /
   * transition SpMM is a join + typed vector-sum aggregation against a
@@ -40,14 +40,13 @@ final case class DistMatrix(df: DataFrame, n: Long, k: Int) {
     out
   }
 
-  /** Row-wise map through a local function (broadcast-closure). */
-  def mapRows(f: (Long, Array[Double]) => Array[Double], newK: Int = -1): DistMatrix = {
+  /** Row-wise map through a local function (broadcast-closure) to rows of width `newK`. */
+  def mapRows(f: (Long, Array[Double]) => Array[Double], newK: Int = k): DistMatrix = {
     import spark.implicits._
-    val kk = if (newK > 0) newK else k
     val mapped = df.as[(Long, Seq[Double])]
       .map { case (id, v) => (id, f(id, v.toArray).toSeq) }
       .toDF("id", "vec")
-    DistMatrix(mapped, n, kk)
+    DistMatrix(mapped, n, newK)
   }
 
   /** Scale row i by `s(i)` (s is a driver array, broadcast in the closure). */
@@ -140,10 +139,8 @@ object DistMatrix {
     */
   def gaussian(spark: SparkSession, n: Long, k: Int, seed: Long): DistMatrix = {
     import spark.implicits._
-    val dfG = spark.range(n).as[Long].map { id =>
-      val rng = new scala.util.Random(seed * 1000003L + id * 7919L)
-      (id, Array.fill(k)(rng.nextGaussian()).toSeq)
-    }.toDF("id", "vec")
+    val dfG = spark.range(n).as[Long].map(id => (id, Dense.gaussianRow(seed, id, k).toSeq))
+      .toDF("id", "vec")
     DistMatrix(dfG, n, k)
   }
 

@@ -1,28 +1,27 @@
-package repro.baselines
+package repro.linalg
 
-import repro.linalg.Dense
-
-/** Driver-local matrix abstraction + randomized SVD, shared by the
-  * baselines that factorize an explicitly-materialized proximity matrix
-  * (STRAP's sparse transpose-proximity, NetMF's dense DeepWalk matrix,
-  * DNGR-lite's PPMI). These methods materialize an n×n object by design —
-  * exactly the scalability liability the paper attributes to them — so a
-  * driver-local implementation is both faithful and sufficient: they are
-  * only ever run on the small/medium graphs, as in the paper.
+/** Driver-local matrices, [[Operator]]s over `Array[Array[Double]]` blocks:
+  * the n×n proximity matrices STRAP, NetMF and DNGR-lite materialize by
+  * design (the scalability liability the paper attributes to them, so
+  * they run on small/medium graphs only) and [[repro.graph.Graph.csr]].
   */
 object LocalMat {
 
-  /** Minimal mat-mat interface: `b` is a dense n×k block. */
-  trait Mat {
-    def rows: Int
+  /** Blocks are dense row-major arrays; their algebra is plain local arithmetic. */
+  trait Mat extends Operator[Array[Array[Double]]] {
     def cols: Int
-    /** `M · B` where B is cols×k. */
-    def mult(b: Array[Array[Double]]): Array[Array[Double]]
-    /** `Mᵀ · B` where B is rows×k. */
-    def multT(b: Array[Array[Double]]): Array[Array[Double]]
+
+    def gaussian(k: Int, seed: Long): Array[Array[Double]] =
+      Array.tabulate(cols)(i => Dense.gaussianRow(seed, i, k))
+    def gram(b: Array[Array[Double]]): Array[Array[Double]] = Dense.gram(b)
+    def timesLocal(b: Array[Array[Double]], w: Array[Array[Double]]): Array[Array[Double]] =
+      Dense.matmul(b, w)
+    def concat(a: Array[Array[Double]], b: Array[Array[Double]]): Array[Array[Double]] =
+      Array.tabulate(a.length)(i => a(i) ++ b(i))
+    def pin(b: Array[Array[Double]]): Array[Array[Double]] = b
   }
 
-  /** Dense row-major matrix with parallel (fork-join) products. */
+  /** Dense row-major matrix; `mult` is row-parallel (fork-join). */
   final case class DenseMat(a: Array[Array[Double]]) extends Mat {
     def rows: Int = a.length
     def cols: Int = if (a.isEmpty) 0 else a(0).length
@@ -47,7 +46,7 @@ object LocalMat {
     def multT(b: Array[Array[Double]]): Array[Array[Double]] = {
       val k = b(0).length
       val out = Array.ofDim[Double](cols, k)
-      // column-parallel to avoid write races on out rows
+      // serial: input row i scatters into every out row, so parallel rows would race
       var i = 0
       while (i < rows) {
         val ai = a(i); val bi = b(i)
@@ -68,14 +67,20 @@ object LocalMat {
   }
 
   /** CSR sparse matrix (values included). */
-  final case class SparseMat(n: Int, nCols: Int, offsets: Array[Int],
+  final case class SparseMat(rows: Int, cols: Int, offsets: Array[Int],
                              colIdx: Array[Int], values: Array[Double]) extends Mat {
-    def rows: Int = n
-    def cols: Int = nCols
+    /** Stored entries in row i (the out-degree, for a graph's adjacency). */
+    def rowNnz(i: Int): Int = offsets(i + 1) - offsets(i)
+    /** Whether row i stores an entry in column j (O(rowNnz(i)) scan). */
+    def contains(i: Int, j: Int): Boolean = {
+      var e = offsets(i)
+      while (e < offsets(i + 1) && colIdx(e) != j) e += 1
+      e < offsets(i + 1)
+    }
     def mult(b: Array[Array[Double]]): Array[Array[Double]] = {
       val k = b(0).length
-      val out = Array.ofDim[Double](n, k)
-      java.util.stream.IntStream.range(0, n).parallel().forEach { i =>
+      val out = Array.ofDim[Double](rows, k)
+      java.util.stream.IntStream.range(0, rows).parallel().forEach { i =>
         val oi = out(i)
         var e = offsets(i)
         while (e < offsets(i + 1)) {
@@ -89,9 +94,9 @@ object LocalMat {
     }
     def multT(b: Array[Array[Double]]): Array[Array[Double]] = {
       val k = b(0).length
-      val out = Array.ofDim[Double](nCols, k)
+      val out = Array.ofDim[Double](cols, k)
       var i = 0
-      while (i < n) {
+      while (i < rows) {
         val bi = b(i)
         var e = offsets(i)
         while (e < offsets(i + 1)) {
@@ -126,34 +131,4 @@ object LocalMat {
     }
     SparseMat(n, nCols, offsets, colIdx, values)
   }
-
-  /** Randomized subspace-iteration SVD: `M ≈ U diag(σ) Vᵀ` with k
-    * components and `q` power iterations (Gram-whitening re-orth each
-    * step) — the local analogue of [[repro.svd.BKSVD]].
-    */
-  def randomizedSVD(m: Mat, k: Int, q: Int = 5, seed: Long = 33):
-      (Array[Array[Double]], Array[Double], Array[Array[Double]]) = {
-    val rng = new scala.util.Random(seed)
-    var block = Array.fill(m.cols, k)(rng.nextGaussian())
-    var y = whitenLocal(m.mult(block))
-    for (_ <- 1 to q) {
-      y = whitenLocal(m.mult(m.multT(y)))
-    }
-    val z = m.multT(y) // n×r
-    val small = Dense.gram(z)
-    val eig = Dense.eigSym(small)
-    val r = eig.values.length
-    val take = math.min(k, r)
-    val sigma = Array.tabulate(k)(j => if (j < take) math.sqrt(math.max(eig.values(j), 0.0)) else 0.0)
-    val w = Array.tabulate(r, k)((i, j) => if (j < take) eig.vectors(i)(j) else 0.0)
-    val u = Dense.matmul(y, w)
-    val wS = Array.tabulate(r, k)((i, j) =>
-      if (j < take && sigma(j) > 1e-12) eig.vectors(i)(j) / sigma(j) else 0.0)
-    val v = Dense.matmul(z, wS)
-    (u, sigma, v)
-  }
-
-  /** Orthonormalize the columns of a local tall-skinny block. */
-  def whitenLocal(b: Array[Array[Double]]): Array[Array[Double]] =
-    Dense.matmul(b, Dense.whitener(Dense.gram(b)))
 }

@@ -12,11 +12,11 @@ import repro.linalg.Dense
   */
 object ExactPPR {
 
-  /** Dense adjacency collected to the driver (small graphs only). */
+  /** Dense adjacency, densified from [[Graph.csr]] (small graphs only). */
   def adjacency(g: Graph): Array[Array[Double]] = {
-    val n = g.n.toInt
-    val a = Array.ofDim[Double](n, n)
-    g.edges.collect().foreach(r => a(r.getLong(0).toInt)(r.getLong(1).toInt) = 1.0)
+    val c = g.csr
+    val a = Array.ofDim[Double](c.rows, c.rows)
+    for (u <- 0 until c.rows; e <- c.offsets(u) until c.offsets(u + 1)) a(u)(c.colIdx(e)) = c.values(e)
     a
   }
 

@@ -1,66 +1,49 @@
 package repro.ppr
 
 import repro.graph.Graph
+import repro.linalg.LocalMat
 import scala.collection.mutable
 
 /** Andersen-style forward (local) push for approximate single-source PPR —
   * the substrate STRAP's published algorithm is built on. For each source
   * it maintains reserves `p` and residues `r` with the invariant
-  * `π(s,·) = p(·) + Σ_u r(u)·π(u,·)`; pushing any node with
-  * `r(u) > rmax·d_out(u)` until none remain guarantees
-  * `|π(s,v) − p(v)| ≤ rmax · d_in-weighted mass ≤ rmax · m` overall and the
-  * standard per-entry bound `π(s,v) − p(v) ≤ rmax · d_out`-normalized
-  * residue mass. Driver-local over a CSR copy: STRAP is evaluated on the
-  * small/medium graphs only (on large ones the paper reports it fails to
-  * scale, which we reproduce by construction).
+  * `π(s,·) = p(·) + Σ_u r(u)·π(u,·)`. Pushing every node with
+  * `r(u) > rmax·d_out(u)` until none remain leaves an underestimate with
+  * `0 ≤ π(s,v) − p(v) = Σ_u r(u)·π(u,v) ≤ rmax·Σ_u d_out(u)·π(u,v)`: the
+  * total error over all v is at most `Σ_u r(u) ≤ rmax·m`, and on an
+  * undirected graph the per-entry error is at most `rmax·d(v)`.
+  * Driver-local over the graph's CSR ([[Graph.csr]]): STRAP is evaluated
+  * on the small/medium graphs only (on large ones the paper reports it
+  * fails to scale, which we reproduce by construction).
   */
 object ForwardPush {
-
-  /** Compressed sparse row adjacency collected from a [[Graph]]. */
-  final case class Csr(n: Int, offsets: Array[Int], targets: Array[Int]) {
-    def outDeg(u: Int): Int = offsets(u + 1) - offsets(u)
-  }
-
-  def csr(g: Graph): Csr = {
-    val n = g.n.toInt
-    val edges = g.edges.collect().map(r => (r.getLong(0).toInt, r.getLong(1).toInt))
-    val deg = new Array[Int](n)
-    edges.foreach { case (u, _) => deg(u) += 1 }
-    val offsets = new Array[Int](n + 1)
-    var i = 0
-    while (i < n) { offsets(i + 1) = offsets(i) + deg(i); i += 1 }
-    val pos = offsets.clone()
-    val targets = new Array[Int](edges.length)
-    edges.foreach { case (u, v) => targets(pos(u)) = v; pos(u) += 1 }
-    Csr(n, offsets, targets)
-  }
 
   /** Single-source approximate PPR by forward push with residue threshold
     * `rmax`; returns the sparse reserve vector. Residue at dangling nodes
     * is discarded (the walk halts there, matching [[ExactPPR]]).
     */
-  def push(g: Csr, source: Int, alpha: Double, rmax: Double): mutable.LongMap[Double] = {
+  def push(g: LocalMat.SparseMat, source: Int, alpha: Double, rmax: Double): mutable.LongMap[Double] = {
     val p = new mutable.LongMap[Double]()
     val r = new mutable.LongMap[Double]()
     r(source) = 1.0
     val queue = mutable.Queue[Int](source)
-    val inQueue = new Array[Boolean](g.n)
+    val inQueue = new Array[Boolean](g.rows)
     inQueue(source) = true
     while (queue.nonEmpty) {
       val u = queue.dequeue()
       inQueue(u) = false
       val ru = r.getOrElse(u, 0.0)
-      val d = g.outDeg(u)
+      val d = g.rowNnz(u)
       if (d > 0 && ru > rmax * d) {
         p(u) = p.getOrElse(u, 0.0) + alpha * ru
         r(u) = 0.0
         val spread = (1 - alpha) * ru / d
         var e = g.offsets(u)
         while (e < g.offsets(u + 1)) {
-          val v = g.targets(e)
+          val v = g.colIdx(e)
           val rv = r.getOrElse(v, 0.0) + spread
           r(v) = rv
-          if (!inQueue(v) && g.outDeg(v) > 0 && rv > rmax * g.outDeg(v)) {
+          if (!inQueue(v) && g.rowNnz(v) > 0 && rv > rmax * g.rowNnz(v)) {
             queue.enqueue(v); inQueue(v) = true
           }
           e += 1
@@ -79,7 +62,7 @@ object ForwardPush {
 
   /** All-sources approximate PPR: a sparse row per node. */
   def allSources(g: Graph, alpha: Double, rmax: Double): Array[mutable.LongMap[Double]] = {
-    val c = csr(g)
-    Array.tabulate(c.n)(s => push(c, s, alpha, rmax))
+    val c = g.csr
+    Array.tabulate(c.rows)(s => push(c, s, alpha, rmax))
   }
 }

@@ -2,8 +2,9 @@ package repro.baselines
 
 import repro.SparkSpec
 import repro.graph.{Generators, Graph}
-import repro.linalg.Dense
+import repro.linalg.{Dense, LocalMat}
 import repro.ppr.ExactPPR
+import repro.svd.BKSVD
 
 /** Shape/semantics tests for every reimplemented baseline. */
 class BaselinesSpec extends SparkSpec {
@@ -45,7 +46,7 @@ class BaselinesSpec extends SparkSpec {
 
   test("symmetrized view of a directed graph contains both orientations") {
     val g = Graph.fromLocal(spark, Seq((0L, 1L)), n = 2, directed = true)
-    val sym = AROPE.symmetrized(g)
+    val sym = g.undirected
     assert(sym.m == 2)
   }
 
@@ -196,12 +197,13 @@ class BaselinesSpec extends SparkSpec {
     assert(out(0)(0) == 3.0)
   }
 
-  test("local randomizedSVD reconstructs a low-rank matrix") {
+  test("BKSVD over a local DenseMat reconstructs a low-rank matrix") {
     val rng = new scala.util.Random(6)
     val u0 = Array.fill(10, 2)(rng.nextGaussian())
     val v0 = Array.fill(8, 2)(rng.nextGaussian())
     val a = Dense.matmul(u0, Dense.transpose(v0))
-    val (u, s, v) = LocalMat.randomizedSVD(LocalMat.DenseMat(a), k = 4, q = 4)
+    val svd = BKSVD(LocalMat.DenseMat(a), 4, 0.2, seed = 33)
+    val (u, s, v) = (svd.u, svd.sigma, svd.v)
     val us = Array.tabulate(10, 4)((i, j) => u(i)(j) * s(j))
     val rec = Dense.matmul(us, Dense.transpose(v))
     for (i <- 0 until 10; j <- 0 until 8)

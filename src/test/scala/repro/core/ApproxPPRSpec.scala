@@ -81,6 +81,15 @@ class ApproxPPRSpec extends SparkSpec {
     }
   }
 
+  test("an edgeless graph gives finite all-zero n×k' embeddings") {
+    val g = repro.graph.Graph.fromLocal(spark, Seq.empty, n = 6, directed = true)
+    val e = ApproxPPR(g, kPrime = 3, alpha = 0.15, l1 = 5, eps = 0.2).local
+    for (m <- Seq(e.x, e.y)) {
+      assert(m.length == 6 && m.forall(_.length == 3))
+      assert(m.forall(_.forall(_ == 0.0)))
+    }
+  }
+
   test("directed graphs produce asymmetric scores") {
     val g = repro.graph.Graph.fromLocal(spark,
       Seq((0L, 1L), (1L, 2L), (2L, 0L), (0L, 2L)), n = 3, directed = true)

@@ -82,6 +82,16 @@ class NRPSpec extends SparkSpec {
     }
   }
 
+  test("NRP on an edgeless graph returns all-zero n×k/2 embeddings and floor weights") {
+    val g = repro.graph.Graph.fromLocal(spark, Seq.empty, n = 6, directed = true)
+    val r = NRP(g, NRP.Params(k = 6, l1 = 5, l2 = 2))
+    for (m <- Seq(r.x, r.y)) {
+      assert(m.length == 6 && m.forall(_.length == 3))
+      assert(m.forall(_.forall(_ == 0.0)))
+    }
+    assert((r.weights.wf ++ r.weights.wb).forall(_ == 1.0 / 6))
+  }
+
   test("NRP runs on a directed DC-SBM graph and stays finite") {
     val g = Generators.dcsbm(spark, n = 120, avgDeg = 4, numLabels = 3, seed = 41).graph
     val r = NRP(g, NRP.Params(k = 16, l1 = 10, l2 = 3))

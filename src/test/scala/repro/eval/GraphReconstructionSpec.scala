@@ -68,11 +68,11 @@ class GraphReconstructionSpec extends SparkSpec {
     assert(prec.values.forall(p => p >= 0.0 && p <= 1.0))
   }
 
-  test("collectEdgeSet encodes all edges") {
+  test("Graph.csr membership encodes all edges") {
     val g = Graph.fromLocal(spark, Seq((0L, 1L), (2L, 0L)), n = 3, directed = true)
-    val set = GraphReconstruction.collectEdgeSet(g)
-    assert(set.contains(0L * 3 + 1))
-    assert(set.contains(2L * 3 + 0))
-    assert(set.size == 2)
+    val csr = g.csr
+    assert(csr.contains(0, 1))
+    assert(csr.contains(2, 0))
+    assert((for (u <- 0 until 3; v <- 0 until 3) yield csr.contains(u, v)).count(identity) == 2)
   }
 }

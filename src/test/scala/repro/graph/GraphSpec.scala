@@ -68,6 +68,22 @@ class GraphSpec extends SparkSpec {
     a
   }
 
+  test("csr holds exactly the collected edges; row lengths are out-degrees") {
+    for (g <- Seq(exampleGraph,
+                  Generators.dcsbm(spark, n = 150, avgDeg = 5, numLabels = 3, seed = 11).graph)) {
+      val n = g.n.toInt
+      val c = g.csr
+      val a = localAdj(g)
+      assert(c.rows == n && c.offsets.length == n + 1)
+      for (u <- 0 until n) {
+        assert(c.offsets(u + 1) - c.offsets(u) == g.outDeg(u), s"row $u")
+        val row = (c.offsets(u) until c.offsets(u + 1)).map(e => c.colIdx(e) -> c.values(e))
+        assert(row.map(_._1).distinct.length == row.length, s"row $u repeats a column")
+        assert(row.toMap == (0 until n).filter(v => a(u)(v) != 0.0).map(_ -> 1.0).toMap, s"row $u")
+      }
+    }
+  }
+
   test("aMultiply matches local dense A·X") {
     val g = exampleGraph
     val rng = new Random(1)

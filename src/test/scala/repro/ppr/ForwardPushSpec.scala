@@ -9,16 +9,16 @@ class ForwardPushSpec extends SparkSpec {
   private lazy val g9 = Generators.example9(spark)
 
   test("csr reproduces degrees and neighbor sets") {
-    val c = ForwardPush.csr(g9)
-    assert(c.n == 9)
-    assert((0 until 9).map(c.outDeg(_).toDouble) == g9.outDeg.toSeq)
-    val n0 = (c.offsets(0) until c.offsets(1)).map(c.targets).sorted
+    val c = g9.csr
+    assert(c.rows == 9)
+    assert((0 until 9).map(c.rowNnz(_).toDouble) == g9.outDeg.toSeq)
+    val n0 = (c.offsets(0) until c.offsets(1)).map(c.colIdx).sorted
     assert(n0 == Seq(1, 2, 3)) // v1 ~ {v2, v3, v4}
   }
 
   test("push reserves are close to exact PPR (tight rmax)") {
     val exact = ExactPPR.ppr(g9, 0.15)
-    val c = ForwardPush.csr(g9)
+    val c = g9.csr
     for (s <- 0 until 9) {
       val approx = ForwardPush.push(c, s, 0.15, rmax = 1e-7)
       for (t <- 0 until 9)
@@ -28,7 +28,7 @@ class ForwardPushSpec extends SparkSpec {
 
   test("push error scales with rmax (loose threshold stays bounded)") {
     val exact = ExactPPR.ppr(g9, 0.15)
-    val c = ForwardPush.csr(g9)
+    val c = g9.csr
     val approx = ForwardPush.push(c, 0, 0.15, rmax = 1e-2)
     for (t <- 0 until 9)
       assert(approx.getOrElse(t, 0.0) <= exact(0)(t) + 1e-9,
@@ -36,7 +36,7 @@ class ForwardPushSpec extends SparkSpec {
   }
 
   test("reserve mass sums to at most 1") {
-    val c = ForwardPush.csr(g9)
+    val c = g9.csr
     for (s <- 0 until 9) {
       val p = ForwardPush.push(c, s, 0.15, rmax = 1e-5)
       assert(p.values.sum <= 1.0 + 1e-9)
@@ -47,14 +47,14 @@ class ForwardPushSpec extends SparkSpec {
   test("allSources covers every node and matches per-source push") {
     val all = ForwardPush.allSources(g9, 0.15, 1e-6)
     assert(all.length == 9)
-    val c = ForwardPush.csr(g9)
+    val c = g9.csr
     val single = ForwardPush.push(c, 4, 0.15, 1e-6)
     assert(all(4).toSeq.sortBy(_._1) == single.toSeq.sortBy(_._1))
   }
 
   test("push handles dangling nodes without losing termination") {
     val g = Graph.fromLocal(spark, Seq((0L, 1L)), n = 2, directed = true)
-    val c = ForwardPush.csr(g)
+    val c = g.csr
     val p = ForwardPush.push(c, 0, 0.15, 1e-8)
     val exact = ExactPPR.ppr(g, 0.15)
     assert(math.abs(p.getOrElse(0, 0.0) - exact(0)(0)) < 1e-6)
@@ -64,7 +64,7 @@ class ForwardPushSpec extends SparkSpec {
   test("push on a larger random graph stays within the additive bound") {
     val g = Generators.dcsbm(spark, n = 120, avgDeg = 4, numLabels = 3, seed = 21).graph
     val exact = ExactPPR.ppr(g, 0.15)
-    val c = ForwardPush.csr(g)
+    val c = g.csr
     val rmax = 1e-5
     for (s <- Seq(0, 17, 63, 119)) {
       val approx = ForwardPush.push(c, s, 0.15, rmax)

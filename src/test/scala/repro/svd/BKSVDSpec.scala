@@ -2,7 +2,7 @@ package repro.svd
 
 import repro.SparkSpec
 import repro.graph.{Generators, Graph}
-import repro.linalg.{Dense, DistMatrix}
+import repro.linalg.{Dense, DistMatrix, LocalMat}
 import repro.ppr.ExactPPR
 
 /** Distributed block-Krylov SVD vs the exact local SVD oracle. */
@@ -78,6 +78,48 @@ class BKSVDSpec extends SparkSpec {
     assert(r.sigma(0) > 0.9) // the single edge has singular value 1
     assert(r.sigma(2) < 1e-6)
     assert(r.u.k == 3 && r.v.k == 3)
+  }
+
+  private def product(u: Array[Array[Double]], s: Array[Double], v: Array[Array[Double]]) =
+    Dense.matmul(Array.tabulate(u.length, s.length)((i, j) => u(i)(j) * s(j)), Dense.transpose(v))
+
+  private def assertRankZero(r: BKSVD.Result[Array[Array[Double]]], n: Int, kP: Int): Unit = {
+    assert(r.sigma.toSeq == Seq.fill(kP)(0.0))
+    for (m <- Seq(r.u, r.v)) {
+      assert(m.length == n && m.forall(_.length == kP))
+      assert(m.forall(_.forall(_ == 0.0)))
+    }
+  }
+
+  test("a rank-0 operator gives k' zero columns and zero sigma on Spark") {
+    val g = Graph.fromLocal(spark, Seq.empty, n = 6, directed = true)
+    val r = BKSVD(g, 3, 0.2)
+    assert(r.u.k == 3 && r.v.k == 3)
+    assertRankZero(BKSVD.Result(r.u.collectLocal(), r.sigma, r.v.collectLocal()), 6, 3)
+  }
+
+  test("a rank-0 operator gives k' zero columns and zero sigma locally") {
+    assertRankZero(BKSVD(LocalMat.DenseMat(Array.ofDim[Double](6, 6)), 3, 0.2, seed = 20), 6, 3)
+  }
+
+  test("Spark adjacency and Graph.csr give the same factorization for one seed") {
+    // Tolerances (σ, UΣVᵀ): on the DC-SBM the union whitening keeps a
+    // direction at ~1.1e-10·λ_max, just above Dense.whitener's cut, which
+    // lifts rounding-level differences between the two SpMMs to ~1e-8 in σ
+    // and ~1e-7 in UΣVᵀ (max over seeds 1, 2, 3, 7, 20: 3.5e-8 and 7.3e-7).
+    val graphs = Seq((Generators.example9(spark), 4, 1e-9, 1e-9),
+      (Generators.dcsbm(spark, n = 150, avgDeg = 5, numLabels = 3, seed = 11).graph, 8, 1e-6, 1e-5))
+    for ((g, kP, sigmaTol, productTol) <- graphs) {
+      val dist = BKSVD(g, kP, 0.2, seed = 7)
+      val local = BKSVD(g.csr, kP, 0.2, seed = 7)
+      for (j <- 0 until kP)
+        assert(math.abs(dist.sigma(j) - local.sigma(j)) <= sigmaTol,
+          s"n=${g.n} sigma($j): ${dist.sigma(j)} vs ${local.sigma(j)}")
+      val a = product(dist.u.collectLocal(), dist.sigma, dist.v.collectLocal())
+      val b = product(local.u, local.sigma, local.v)
+      val maxDiff = a.indices.map(i => a(i).indices.map(j => math.abs(a(i)(j) - b(i)(j))).max).max
+      assert(maxDiff <= productTol, s"n=${g.n}: max |UΣVᵀ difference| = $maxDiff")
+    }
   }
 
   test("result is deterministic in the seed") {
